@@ -14,11 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..fi.campaign import PoolInterrupted, parallel_map
 from ..fi.report import tally
-from ..obs.trace import span
 from ..gatesim import GateSimulator
 from ..gatesim.compiled import structural_hash
+from ..native import ENGINES
+from ..obs.trace import span
+from ..pool import PoolInterrupted, parallel_map
 from ..rtl.simulate import RtlSimulator
 from ..synth import report_area, synthesize
 from .designs import (CORPUS_LEVELS, CorpusError, _run_transactions,
@@ -26,11 +27,6 @@ from .designs import (CORPUS_LEVELS, CorpusError, _run_transactions,
 from .harden import PARITY_PORT, harden_module, select_harden_targets
 from .inject import (generate_design_faultload, run_design_campaign,
                      sdc_counts_by_register)
-
-#: simulation engines every level is cross-checked on ("native"
-#: silently runs as "compiled" when no C toolchain is present)
-ENGINES = ("interpreted", "compiled", "vectorized", "native")
-
 
 @dataclass(frozen=True)
 class CorpusBudget:

@@ -92,15 +92,15 @@ def measure_gate_throughput(params: SrcParams, kind: str, cycles: int,
     into C ``uint64_t`` bitplanes compiled by the host toolchain.
     """
     netlist = _gate_netlist(params, kind)
-    if backend in ("compiled", "vectorized", "native"):
-        sim = GateSimulator(netlist, backend=backend,
-                            n_patterns=n_patterns)
-    else:
+    if backend == "interpreted":
         if n_patterns != 1:
             raise ValueError(
                 "parallel patterns need a batch backend"
             )
         sim = GateSimulator(netlist)
+    else:
+        sim = GateSimulator(netlist, backend=backend,
+                            n_patterns=n_patterns)
     rng = random.Random(seed)
     inputs = [(name, 1 << len(nets)) for name, nets in
               netlist.inputs.items()]

@@ -32,7 +32,7 @@ Execution strategies:
   simulation.
 
 Campaigns scale across a ``multiprocessing`` worker pool
-(:func:`parallel_map`); classification is a pure function of
+(:func:`repro.pool.parallel_map`); classification is a pure function of
 ``(fault, workload)``, so any job count produces identical records,
 and per-task compile-cache deltas are shipped back to the parent so
 cache statistics stay correct under ``--jobs``.
@@ -40,7 +40,6 @@ cache statistics stay correct under ``--jobs``.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -51,9 +50,10 @@ from ..datatypes import logic as L
 from ..datatypes.integers import wrap_signed
 from ..flow.refinement import Level, build_module
 from ..gatesim import GateSimulator
+from ..native import ENGINES
 from ..obs.metrics import REGISTRY
-from ..obs.trace import (TracedTask, absorb_events, current_context,
-                         record_span, span)
+from ..obs.trace import record_span, span
+from ..pool import PoolInterrupted, parallel_map
 from ..rtl import RtlSimulator
 from ..src_design.behavioral import (BehavioralBatchSimulation,
                                      BehavioralSimulation, build_main_fsm)
@@ -71,6 +71,10 @@ from .report import (CampaignReport, FaultRecord, SelfCheckResult,
 
 #: campaign levels (the clocked implementation levels of the flow)
 LEVELS = ("rtl", "beh", "gate")
+
+#: engines a campaign classifies on; the interpreted engine only runs
+#: the throughput probe
+BATCH_ENGINES = tuple(e for e in ENGINES if e != "interpreted")
 
 
 class CampaignError(RuntimeError):
@@ -107,10 +111,10 @@ class CampaignConfig:
         if self.level not in LEVELS:
             raise CampaignError(
                 f"unknown level {self.level!r} (expected one of {LEVELS})")
-        if self.backend not in ("compiled", "vectorized", "native"):
+        if self.backend not in BATCH_ENGINES:
             raise CampaignError(
                 f"unknown campaign backend {self.backend!r} "
-                "(expected 'compiled', 'vectorized' or 'native')")
+                f"(expected one of {BATCH_ENGINES})")
         if self.budget not in BUDGET_FRAMES:
             raise CampaignError(
                 f"unknown budget {self.budget!r} "
@@ -540,11 +544,7 @@ def run_beh_batch(fsm, workload: Workload, faults: Sequence[Fault],
     tick = 0
     while tick <= workload.cycle_budget and remaining:
         for p, fault in pokes.get(tick, ()):
-            if backend == "vectorized":
-                sim.batch.flip_bit(p, fault.target, fault.bit)
-            else:
-                env = sim.batch.envs[p]
-                env[fault.target] = env[fault.target] ^ (1 << fault.bit)
+            sim.batch.flip_bit(p, fault.target, fault.bit)
         frame, cfg, req = _workload_stimulus(by_tick.get(tick, ()))
         if frame is not None:
             sim.drive_input(frame[0], frame[1])
@@ -602,7 +602,7 @@ def run_beh_fault_scalar(fsm, workload: Workload, fault: Fault,
 
 
 # ----------------------------------------------------------------------
-# worker pool
+# pool tasks
 # ----------------------------------------------------------------------
 
 #: per-process campaign state, (re)built by :func:`_init_worker`
@@ -633,16 +633,6 @@ def _init_worker(params: SrcParams, level: str, seed: int,
             _WORKER["fsm"] = build_main_fsm(params, True)
         else:
             _WORKER["module"] = build_module(params, Level.RTL_OPT)
-
-
-# The cross-process compile-cache aggregation (snapshot / delta /
-# absorb) now lives in :mod:`repro.compile_cache`, shared with the
-# parallel verification harness, the campaign service and the artifact
-# writers; the historical names are kept as aliases for existing
-# callers.
-cache_counters = counters_snapshot
-cache_delta = counters_delta
-absorb_cache_deltas = absorb_deltas
 
 
 def _gate_batch_task(faults: Sequence[Fault]):
@@ -730,76 +720,6 @@ def _beh_batch_task(faults: Sequence[Fault]):
     return records, counters_delta(before, after)
 
 
-class PoolInterrupted(KeyboardInterrupt):
-    """A cancelled parallel run, carrying the results finished so far.
-
-    Raised by :func:`parallel_map` when the run is interrupted
-    (Ctrl-C, cancellation): the pool has already been torn down --
-    terminated *and* joined, no orphaned workers -- and ``partial``
-    holds the completed leading results in task order, so callers can
-    surface a partial report instead of losing the whole run.
-    """
-
-    def __init__(self, partial: Sequence) -> None:
-        super().__init__()
-        self.partial = list(partial)
-
-
-def parallel_map(fn, tasks: Sequence, jobs: int,
-                 initializer=None, initargs=()) -> List:
-    """``map(fn, tasks)`` over a worker pool, order-preserving.
-
-    With ``jobs <= 1`` (or a single task) everything runs in-process.
-    Fork is preferred -- workers inherit built state for free -- with
-    spawn as the fallback; *initializer* must rebuild any needed state
-    deterministically, which keeps both start methods equivalent.
-
-    Teardown is explicit on every exit path: a task failure or an
-    interrupt terminates the pool and *joins* it before re-raising, so
-    no worker process outlives the call; an interrupt re-raises as
-    :class:`PoolInterrupted` with the results completed so far.
-
-    When tracing is enabled the task function is transparently wrapped
-    so workers adopt the parent's trace context and ship their new
-    spans back with each result; the parent absorbs them as results
-    stream in, so partial (interrupted) runs keep their spans too.
-    """
-    if jobs <= 1 or len(tasks) <= 1:
-        if initializer is not None:
-            initializer(*initargs)
-        results = []
-        try:
-            for task in tasks:
-                results.append(fn(task))
-        except KeyboardInterrupt:
-            raise PoolInterrupted(results) from None
-        return results
-    trace_ctx = current_context()
-    task_fn = fn if trace_ctx is None else TracedTask(fn, trace_ctx)
-    methods = multiprocessing.get_all_start_methods()
-    ctx = multiprocessing.get_context(
-        "fork" if "fork" in methods else "spawn")
-    pool = ctx.Pool(min(jobs, len(tasks)), initializer, initargs)
-    results = []
-    try:
-        for result in pool.imap(task_fn, tasks):
-            if trace_ctx is not None:
-                result, events = result
-                absorb_events(events)
-            results.append(result)
-        pool.close()
-        pool.join()
-        return results
-    except KeyboardInterrupt:
-        pool.terminate()
-        pool.join()
-        raise PoolInterrupted(results) from None
-    except BaseException:
-        pool.terminate()
-        pool.join()
-        raise
-
-
 # ----------------------------------------------------------------------
 # campaign entry points
 # ----------------------------------------------------------------------
@@ -872,27 +792,17 @@ def _run_campaign(config: CampaignConfig) -> CampaignReport:
         faults, design = campaign_faultload(config)
         faultload_span.note(n_faults=len(faults))
 
-    if config.level == "gate":
-        chunk = (_vector_chunk(len(faults), config.jobs)
-                 if backend == "vectorized" else config.batch_size)
-        tasks = [faults[i:i + chunk]
-                 for i in range(0, len(faults), chunk)]
-        task_fn = _gate_batch_task
-    elif config.level == "beh":
-        chunk = (_vector_chunk(len(faults), config.jobs)
-                 if backend == "vectorized" else config.batch_size)
-        tasks = [faults[i:i + chunk]
-                 for i in range(0, len(faults), chunk)]
-        task_fn = _beh_batch_task
+    vectorized = backend == "vectorized"
+    if config.level == "rtl" and not vectorized:
+        tasks = list(faults)
+        task_fn = _rtl_fault_task
     else:
-        if backend == "vectorized":
-            chunk = _vector_chunk(len(faults), config.jobs)
-            tasks = [faults[i:i + chunk]
-                     for i in range(0, len(faults), chunk)]
-            task_fn = _rtl_batch_task
-        else:
-            tasks = list(faults)
-            task_fn = _rtl_fault_task
+        chunk = (_vector_chunk(len(faults), config.jobs) if vectorized
+                 else config.batch_size)
+        tasks = [faults[i:i + chunk]
+                 for i in range(0, len(faults), chunk)]
+        task_fn = {"gate": _gate_batch_task, "beh": _beh_batch_task,
+                   "rtl": _rtl_batch_task}[config.level]
 
     interrupted = False
     t0 = time.perf_counter()
@@ -908,7 +818,7 @@ def _run_campaign(config: CampaignConfig) -> CampaignReport:
     if config.jobs > 1 and len(tasks) > 1:
         # pool runs hit worker-local caches; in-process runs already
         # counted against the parent's, so absorbing would double-count
-        absorb_cache_deltas([r[1] for r in results])
+        absorb_deltas([r[1] for r in results])
     if task_fn is _rtl_fault_task:
         records = [rec for rec, _ in results]
     else:
@@ -934,7 +844,7 @@ def _run_campaign(config: CampaignConfig) -> CampaignReport:
             interrupted=True)
     probe = faults[:min(config.probe_faults, len(faults))]
 
-    if backend in ("vectorized", "native") and probe:
+    if backend != "compiled" and probe:
         # compiled-engine probe: the word-width batch baseline the
         # vectorized sweep (or native C batch) replaces, on the same
         # leading faults

@@ -28,13 +28,14 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..compile_cache import CacheStats, CompileCache
 from ..datatypes import logic as L
 from ..datatypes.bits import mask
 from ..synth.library import CODEGEN
 from ..synth.netlist import CellInstance, MemoryMacro, Netlist
+from .host import PatternPlaneHost
 from .levelize import levelize
 from .memory import CheckingMemoryModel, MemoryModel
 from .simulator import GateSimError
@@ -244,25 +245,14 @@ def compile_netlist(netlist: Netlist,
 # ----------------------------------------------------------------------
 # the simulator
 # ----------------------------------------------------------------------
-#: a plane source: (True, state_slot) or (False, result_index)
-_Src = Tuple[bool, int]
-
-
-class CompiledGateSimulator:
+class CompiledGateSimulator(PatternPlaneHost):
     """Parallel-pattern gate-level simulator over a compiled netlist.
 
-    Mirrors the public API of the interpreted
-    :class:`~repro.gatesim.simulator.GateSimulator` (``set_input`` /
-    ``get`` / ``get_logic`` / ``step`` / ``reset``), and adds the
-    pattern-parallel entry points ``set_input_patterns`` /
-    ``get_patterns`` / ``get_logic_pattern``: with ``n_patterns=N`` a
-    single pass evaluates N independent stimulus vectors.
-
-    The single-value API broadcasts writes across all patterns and reads
-    pattern 0, so with ``n_patterns=1`` (the default) the backend is a
-    drop-in, bit-exact replacement for the interpreted simulator.  The
-    only representational difference: Z is stored as X (gate inputs
-    already treat them identically).
+    Planes are Python integers, so the host surface of
+    :class:`~repro.gatesim.host.PatternPlaneHost` runs on them
+    directly.  Memory models stay behavioural, one bank entry per
+    pattern: ROMs are read-only and share bank 0, RAMs diverge under
+    per-pattern writes.
     """
 
     backend = "compiled"
@@ -270,19 +260,21 @@ class CompiledGateSimulator:
     def __init__(self, netlist: Netlist, checking_memories: bool = False,
                  reporter=None, n_patterns: int = 1,
                  cache: Optional[CompileCache] = None):
-        if n_patterns < 1:
-            raise GateSimError(f"n_patterns must be >= 1, got {n_patterns}")
-        netlist.validate()
-        self.netlist = netlist
-        self.n_patterns = n_patterns
-        self.cycles = 0
-        self._mask = mask(n_patterns)
-        self.program = compile_netlist(netlist, cache=cache)
+        self._checking_memories = checking_memories
+        self._reporter = reporter
+        super().__init__(netlist, n_patterns, cache)
 
-        self._slot = {uid: i for i, uid in
-                      enumerate(self.program.state_uids)}
-        self._ridx = {uid: i for i, uid in
-                      enumerate(self.program.result_uids)}
+    # ------------------------------------------------------------------
+    # storage
+    # ------------------------------------------------------------------
+    def _compile(self, netlist: Netlist,
+                 cache: Optional[CompileCache]) -> CompiledProgram:
+        return compile_netlist(netlist, cache=cache)
+
+    def _allocate(self) -> None:
+        netlist, n_patterns = self.netlist, self.n_patterns
+        self._mask = mask(n_patterns)
+        self._zero = 0
 
         # memory models: one bank entry per pattern (ROMs are read-only
         # and shared; RAMs diverge under per-pattern writes)
@@ -296,10 +288,10 @@ class CompiledGateSimulator:
                 if p and not macro.writable:
                     bank.append(bank[0])
                     continue
-                if checking_memories:
+                if self._checking_memories:
                     model: MemoryModel = CheckingMemoryModel(
                         macro.name, macro.depth, macro.width,
-                        macro.contents, reporter=reporter,
+                        macro.contents, reporter=self._reporter,
                     )
                 else:
                     model = MemoryModel(
@@ -318,67 +310,10 @@ class CompiledGateSimulator:
         n_state = len(self.program.state_uids)
         self._s1: List[int] = [0] * n_state
         self._sx: List[int] = [0] * n_state
-        self._s1[self._slot[netlist.const1.uid]] = self._mask
-        for uid in self.program.x_state_uids:
-            self._sx[self._slot[uid]] = self._mask
-
-        # flops
-        self._flops: List[CellInstance] = netlist.flops()
-        self._flop_ops: List[Tuple[int, int, _Src, Optional[_Src],
-                                   Optional[_Src]]] = []
-        for flop in self._flops:
-            q_uid = flop.outputs["Q"].uid
-            q_slot = self._slot[q_uid]
-            init = flop.init & 1
-            self._s1[q_slot] = self._mask if init else 0
-            if flop.cell_type == "SDFF":
-                entry = (q_slot, init, self._src(flop.pins["D"].uid),
-                         self._src(flop.pins["SI"].uid),
-                         self._src(flop.pins["SE"].uid))
-            else:
-                entry = (q_slot, init, self._src(flop.pins["D"].uid),
-                         None, None)
-            self._flop_ops.append(entry)
-
-        # write ports: (bank, enable src, addr srcs, data srcs)
-        self._write_ops: List[Tuple[List[MemoryModel], _Src,
-                                    List[_Src], List[_Src]]] = []
-        for macro in netlist.memories:
-            for wp in macro.write_ports:
-                self._write_ops.append((
-                    self._mem_banks[macro.name],
-                    self._src(wp.enable.uid),
-                    [self._src(n.uid) for n in wp.addr],
-                    [self._src(n.uid) for n in wp.data],
-                ))
-
-        # port lookup tables (outputs shadow inputs, like interpreted get)
-        self._ports: Dict[str, List[_Src]] = {}
-        for name, nets in list(netlist.outputs.items()) + \
-                list(netlist.inputs.items()):
-            self._ports.setdefault(
-                name, [self._src(n.uid) for n in nets]
-            )
-
         self._r1: Tuple[int, ...] = ()
         self._rx: Tuple[int, ...] = ()
-        self._dirty = True
-        self._settle()
 
-    # ------------------------------------------------------------------
-    # plumbing
-    # ------------------------------------------------------------------
-    def _src(self, uid: int) -> _Src:
-        slot = self._slot.get(uid)
-        if slot is not None:
-            return (True, slot)
-        return (False, self._ridx[uid])
-
-    def _planes(self, src: _Src) -> Tuple[int, int]:
-        state, index = src
-        if state:
-            return self._s1[index], self._sx[index]
-        return self._r1[index], self._rx[index]
+        self._write_ops = self._write_table()
 
     def _make_read_hook(self, macro: MemoryMacro, port_index: int):
         bank = self._mem_banks[macro.name]
@@ -421,143 +356,9 @@ class CompiledGateSimulator:
         )
         self._dirty = False
 
-    def _ensure_settled(self) -> None:
-        if self._dirty:
-            self._settle()
-
     # ------------------------------------------------------------------
-    # single-value API (GateSimulator-compatible; pattern 0)
+    # memories
     # ------------------------------------------------------------------
-    def set_input(self, name: str, value: int) -> None:
-        """Drive *value* on input *name*, broadcast to all patterns."""
-        nets = self.netlist.inputs.get(name)
-        if nets is None:
-            raise GateSimError(f"no input named {name!r}")
-        value &= mask(len(nets))
-        M = self._mask
-        s1, sx, slot = self._s1, self._sx, self._slot
-        for i, net in enumerate(nets):
-            j = slot[net.uid]
-            s1[j] = M if (value >> i) & 1 else 0
-            sx[j] = 0
-        self._dirty = True
-
-    def set_input_logic(self, name: str, values: Sequence[int]) -> None:
-        """Drive raw logic values (LSB first; X allowed) on *name*."""
-        nets = self.netlist.inputs.get(name)
-        if nets is None:
-            raise GateSimError(f"no input named {name!r}")
-        if len(values) != len(nets):
-            raise GateSimError(
-                f"input {name!r} is {len(nets)} bits, got {len(values)}"
-            )
-        M = self._mask
-        for net, v in zip(nets, values):
-            j = self._slot[net.uid]
-            if v == L.L1:
-                self._s1[j], self._sx[j] = M, 0
-            elif v == L.L0:
-                self._s1[j], self._sx[j] = 0, 0
-            else:
-                self._s1[j], self._sx[j] = 0, M
-        self._dirty = True
-
-    def get(self, name: str) -> int:
-        """Read a port of pattern 0 as an integer (X/Z raise)."""
-        return self.get_patterns(name)[0]
-
-    def get_logic(self, name: str) -> List[int]:
-        """Read a port of pattern 0 as raw logic values (LSB first)."""
-        return self.get_logic_pattern(name, 0)
-
-    # ------------------------------------------------------------------
-    # pattern-parallel API
-    # ------------------------------------------------------------------
-    def set_input_patterns(self, name: str,
-                           values: Sequence[int]) -> None:
-        """Drive one integer stimulus value per pattern on *name*."""
-        nets = self.netlist.inputs.get(name)
-        if nets is None:
-            raise GateSimError(f"no input named {name!r}")
-        if len(values) != self.n_patterns:
-            raise GateSimError(
-                f"expected {self.n_patterns} pattern values, "
-                f"got {len(values)}"
-            )
-        w_mask = mask(len(nets))
-        planes = [0] * len(nets)
-        for p, value in enumerate(values):
-            value &= w_mask
-            bit = 1 << p
-            i = 0
-            while value:
-                if value & 1:
-                    planes[i] |= bit
-                value >>= 1
-                i += 1
-        for i, net in enumerate(nets):
-            j = self._slot[net.uid]
-            self._s1[j] = planes[i]
-            self._sx[j] = 0
-        self._dirty = True
-
-    def get_patterns(self, name: str) -> List[int]:
-        """Read a port as one integer per pattern (X/Z raise)."""
-        srcs = self._ports.get(name)
-        if srcs is None:
-            raise GateSimError(f"no port named {name!r}")
-        self._ensure_settled()
-        out = [0] * self.n_patterns
-        for i, src in enumerate(srcs):
-            ones, unk = self._planes(src)
-            if unk:
-                p = (unk & -unk).bit_length() - 1
-                raise GateSimError(
-                    f"port {name!r} bit {i} is X in pattern {p}"
-                )
-            while ones:
-                p = (ones & -ones).bit_length() - 1
-                out[p] |= 1 << i
-                ones &= ones - 1
-        return out
-
-    def get_port_planes(self, name: str) -> Tuple[List[int], List[int]]:
-        """Read a port as raw bitplanes: per bit, (ones, unknowns).
-
-        Bit *p* of each returned plane belongs to pattern *p*.  This is
-        the bulk-observation entry point of the fault-injection
-        campaign: one call yields every pattern's view of the port with
-        plain integer ops, X included, without the per-pattern decode
-        of :meth:`get_patterns` / :meth:`get_logic_pattern`.
-        """
-        srcs = self._ports.get(name)
-        if srcs is None:
-            raise GateSimError(f"no port named {name!r}")
-        self._ensure_settled()
-        ones: List[int] = []
-        unks: List[int] = []
-        for src in srcs:
-            a, x = self._planes(src)
-            ones.append(a)
-            unks.append(x)
-        return ones, unks
-
-    def memory_model(self, name: str, pattern: int = 0) -> MemoryModel:
-        """The behavioural model backing *name* for one pattern.
-
-        RAM banks diverge per pattern; ROM patterns share bank 0.  The
-        fault-injection campaign pokes pattern-private banks to model
-        memory-cell SEUs without touching the other patterns.
-        """
-        bank = self._mem_banks.get(name)
-        if bank is None:
-            raise GateSimError(f"no memory named {name!r}")
-        if not 0 <= pattern < self.n_patterns:
-            raise GateSimError(
-                f"pattern {pattern} outside 0..{self.n_patterns - 1}"
-            )
-        return bank[pattern]
-
     def privatize_memory(self, name: str, pattern: int) -> MemoryModel:
         """Give *pattern* its own copy of a shared (ROM) bank entry.
 
@@ -575,23 +376,12 @@ class CompiledGateSimulator:
             bank[pattern] = model
         return model
 
-    def get_logic_pattern(self, name: str, pattern: int = 0) -> List[int]:
-        """Read a port of one pattern as logic values (X allowed)."""
-        srcs = self._ports.get(name)
-        if srcs is None:
-            raise GateSimError(f"no port named {name!r}")
-        self._ensure_settled()
-        bit = 1 << pattern
-        out = []
-        for src in srcs:
-            ones, unk = self._planes(src)
-            if unk & bit:
-                out.append(L.LX)
-            elif ones & bit:
-                out.append(L.L1)
-            else:
-                out.append(L.L0)
-        return out
+    def _reset_memories(self) -> None:
+        for bank in self._mem_banks.values():
+            for p, model in enumerate(bank):
+                if p and model is bank[0]:
+                    continue
+                model.reset()
 
     # ------------------------------------------------------------------
     # clocking
@@ -603,19 +393,7 @@ class CompiledGateSimulator:
         for _ in range(cycles):
             self._ensure_settled()
             planes = self._planes
-            # sample flop inputs
-            updates: List[Tuple[int, int, int]] = []
-            for q_slot, _init, d_src, si_src, se_src in self._flop_ops:
-                d1, dx = planes(d_src)
-                if se_src is not None:
-                    e1, ex = planes(se_src)
-                    s1, sx = planes(si_src)  # type: ignore[arg-type]
-                    e0 = M & ~(e1 | ex)
-                    nd1 = (e1 & s1) | (e0 & d1)
-                    ndx = (e1 & sx) | (e0 & dx) | ex
-                else:
-                    nd1, ndx = d1, dx
-                updates.append((q_slot, nd1, ndx))
+            updates = self._sample_flops()
             # sample memory writes (per pattern, into that pattern's bank)
             writes: List[Tuple[MemoryModel, Optional[int], int]] = []
             for bank, en_src, addr_srcs, data_srcs in self._write_ops:
@@ -659,38 +437,3 @@ class CompiledGateSimulator:
             # same values and hook cycle the interpreter's eager settle
             # produces, at half the full-evaluation count
             self._dirty = True
-
-    def reset(self) -> None:
-        """Restore flops and memories to their initial state."""
-        M = self._mask
-        for q_slot, init, *_rest in self._flop_ops:
-            self._s1[q_slot] = M if init else 0
-            self._sx[q_slot] = 0
-        for name, bank in self._mem_banks.items():
-            for p, model in enumerate(bank):
-                if p and model is bank[0]:
-                    continue
-                model.reset()
-        self.cycles = 0
-        self._dirty = True
-        self._settle()
-
-    # ------------------------------------------------------------------
-    # interop / introspection
-    # ------------------------------------------------------------------
-    @property
-    def values(self) -> List[int]:
-        """Pattern-0 net values indexed by uid (interpreted-compat view)."""
-        self._ensure_settled()
-        out = [L.LX] * len(self.netlist.nets)
-        for uid, slot in self._slot.items():
-            out[uid] = (L.LX if self._sx[slot] & 1
-                        else (self._s1[slot] & 1))
-        for uid, index in self._ridx.items():
-            out[uid] = (L.LX if self._rx[index] & 1
-                        else (self._r1[index] & 1))
-        return out
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"CompiledGateSimulator({self.netlist.name!r}, "
-                f"n_patterns={self.n_patterns})")

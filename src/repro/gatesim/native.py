@@ -28,15 +28,16 @@ processes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..compile_cache import CompileCache
 from ..datatypes import logic as L
 from ..datatypes.bits import mask
 from ..native import NativeModule, compile_and_load
 from ..synth.library import CODEGEN
-from ..synth.netlist import CellInstance, MemoryMacro, Netlist
+from ..synth.netlist import CellInstance, Netlist
 from .compiled import COMPILE_CACHE, structural_hash
+from .host import PatternPlaneHost
 from .levelize import levelize
 from .simulator import GateSimError
 
@@ -427,17 +428,14 @@ class _NativeMemoryView:
 # ----------------------------------------------------------------------
 # the simulator
 # ----------------------------------------------------------------------
-#: a plane source: (True, state_slot) or (False, result_index)
-_Src = Tuple[bool, int]
-
-
-class NativeGateSimulator:
+class NativeGateSimulator(PatternPlaneHost):
     """Parallel-pattern gate simulator over a native C kernel.
 
     API-identical to
-    :class:`~repro.gatesim.compiled.CompiledGateSimulator` (whose
-    docstring describes the pattern-parallel surface); the pattern
-    count is capped at 64 -- one machine word -- which covers the
+    :class:`~repro.gatesim.compiled.CompiledGateSimulator` (the shared
+    surface lives in :class:`~repro.gatesim.host.PatternPlaneHost`);
+    the planes are C ``uint64_t`` buffers, so the pattern count is
+    capped at 64 -- one machine word -- which covers the
     fault-injection batch width and the latency rows this engine
     exists for.  Use the vectorized engine past the word cap.
     """
@@ -451,25 +449,24 @@ class NativeGateSimulator:
             raise GateSimError(
                 "checking memories are not supported by the native "
                 "backend; use interpreted or compiled")
-        if n_patterns < 1:
-            raise GateSimError(f"n_patterns must be >= 1, got {n_patterns}")
         if n_patterns > WORD_PATTERNS:
             raise GateSimError(
                 f"native backend packs patterns into one 64-bit word; "
                 f"got n_patterns={n_patterns} (use backend=\"vectorized\")")
-        netlist.validate()
-        self.netlist = netlist
-        self.n_patterns = n_patterns
-        self.cycles = 0
-        self._mask = mask(n_patterns)
-        self.program = compile_netlist_native(netlist, cache=cache)
-        mod = self.program.module
-        self._run = self.program.run
+        super().__init__(netlist, n_patterns, cache)
 
-        self._slot = {uid: i for i, uid in
-                      enumerate(self.program.state_uids)}
-        self._ridx = {uid: i for i, uid in
-                      enumerate(self.program.result_uids)}
+    # ------------------------------------------------------------------
+    # storage
+    # ------------------------------------------------------------------
+    def _compile(self, netlist: Netlist,
+                 cache: Optional[CompileCache]) -> NativeGateProgram:
+        return compile_netlist_native(netlist, cache=cache)
+
+    def _allocate(self) -> None:
+        self._mask = mask(self.n_patterns)
+        self._zero = 0
+        self._run = self.program.run
+        mod = self.program.module
 
         # machine buffers shared with the kernel
         self._s1 = mod.u64_buffer(len(self.program.state_uids))
@@ -477,209 +474,33 @@ class NativeGateSimulator:
         self._r1 = mod.u64_buffer(len(self.program.result_uids))
         self._rx = mod.u64_buffer(len(self.program.result_uids))
         self._mem = mod.u64_buffer(
-            max(1, self.program.mem_words * n_patterns))
-
-        self._s1[self._slot[netlist.const1.uid]] = self._mask
-        for uid in self.program.x_state_uids:
-            self._sx[self._slot[uid]] = self._mask
+            max(1, self.program.mem_words * self.n_patterns))
 
         # pattern-private memory views
         self.memories: Dict[str, _NativeMemoryView] = {}
-        self._mem_views: Dict[str, List[_NativeMemoryView]] = {}
+        self._mem_banks: Dict[str, List[_NativeMemoryView]] = {}
         for name, off, depth, width, writable, contents in \
                 self.program.mem_layout:
             views = [
                 _NativeMemoryView(
                     self, name, p * self.program.mem_words + off,
                     depth, width, writable, contents)
-                for p in range(n_patterns)
+                for p in range(self.n_patterns)
             ]
-            self._mem_views[name] = views
+            self._mem_banks[name] = views
             self.memories[name] = views[0]
             for view in views:
                 view.reset()
-
-        # flop init states
-        self._flops: List[CellInstance] = netlist.flops()
-        self._flop_slots: List[Tuple[int, int]] = []
-        for flop in self._flops:
-            q_slot = self._slot[flop.outputs["Q"].uid]
-            init = flop.init & 1
-            self._flop_slots.append((q_slot, init))
-            self._s1[q_slot] = self._mask if init else 0
-
-        # port lookup tables (outputs shadow inputs, like interpreted)
-        self._ports: Dict[str, List[_Src]] = {}
-        for name, nets in list(netlist.outputs.items()) + \
-                list(netlist.inputs.items()):
-            self._ports.setdefault(
-                name, [self._src(n.uid) for n in nets])
-
-        self._dirty = True
-        self._settle()
-
-    # ------------------------------------------------------------------
-    # plumbing
-    # ------------------------------------------------------------------
-    def _src(self, uid: int) -> _Src:
-        s = self._slot.get(uid)
-        if s is not None:
-            return (True, s)
-        return (False, self._ridx[uid])
-
-    def _planes(self, src: _Src) -> Tuple[int, int]:
-        state, index = src
-        if state:
-            return self._s1[index], self._sx[index]
-        return self._r1[index], self._rx[index]
 
     def _settle(self) -> None:
         self._run(self._s1, self._sx, self._r1, self._rx, self._mem,
                   self._mask, 0, self.n_patterns, 1)
         self._dirty = False
 
-    def _ensure_settled(self) -> None:
-        if self._dirty:
-            self._settle()
-
-    # ------------------------------------------------------------------
-    # single-value API (GateSimulator-compatible; pattern 0)
-    # ------------------------------------------------------------------
-    def set_input(self, name: str, value: int) -> None:
-        """Drive *value* on input *name*, broadcast to all patterns."""
-        nets = self.netlist.inputs.get(name)
-        if nets is None:
-            raise GateSimError(f"no input named {name!r}")
-        value &= mask(len(nets))
-        M = self._mask
-        s1, sx, slot = self._s1, self._sx, self._slot
-        for i, net in enumerate(nets):
-            j = slot[net.uid]
-            s1[j] = M if (value >> i) & 1 else 0
-            sx[j] = 0
-        self._dirty = True
-
-    def set_input_logic(self, name: str, values: Sequence[int]) -> None:
-        """Drive raw logic values (LSB first; X allowed) on *name*."""
-        nets = self.netlist.inputs.get(name)
-        if nets is None:
-            raise GateSimError(f"no input named {name!r}")
-        if len(values) != len(nets):
-            raise GateSimError(
-                f"input {name!r} is {len(nets)} bits, got {len(values)}")
-        M = self._mask
-        for net, v in zip(nets, values):
-            j = self._slot[net.uid]
-            if v == L.L1:
-                self._s1[j], self._sx[j] = M, 0
-            elif v == L.L0:
-                self._s1[j], self._sx[j] = 0, 0
-            else:
-                self._s1[j], self._sx[j] = 0, M
-        self._dirty = True
-
-    def get(self, name: str) -> int:
-        """Read a port of pattern 0 as an integer (X/Z raise)."""
-        return self.get_patterns(name)[0]
-
-    def get_logic(self, name: str) -> List[int]:
-        """Read a port of pattern 0 as raw logic values (LSB first)."""
-        return self.get_logic_pattern(name, 0)
-
-    # ------------------------------------------------------------------
-    # pattern-parallel API
-    # ------------------------------------------------------------------
-    def set_input_patterns(self, name: str,
-                           values: Sequence[int]) -> None:
-        """Drive one integer stimulus value per pattern on *name*."""
-        nets = self.netlist.inputs.get(name)
-        if nets is None:
-            raise GateSimError(f"no input named {name!r}")
-        if len(values) != self.n_patterns:
-            raise GateSimError(
-                f"expected {self.n_patterns} pattern values, "
-                f"got {len(values)}")
-        w_mask = mask(len(nets))
-        planes = [0] * len(nets)
-        for p, value in enumerate(values):
-            value &= w_mask
-            bit = 1 << p
-            i = 0
-            while value:
-                if value & 1:
-                    planes[i] |= bit
-                value >>= 1
-                i += 1
-        for i, net in enumerate(nets):
-            j = self._slot[net.uid]
-            self._s1[j] = planes[i]
-            self._sx[j] = 0
-        self._dirty = True
-
-    def get_patterns(self, name: str) -> List[int]:
-        """Read a port as one integer per pattern (X/Z raise)."""
-        srcs = self._ports.get(name)
-        if srcs is None:
-            raise GateSimError(f"no port named {name!r}")
-        self._ensure_settled()
-        out = [0] * self.n_patterns
-        for i, src in enumerate(srcs):
-            ones, unk = self._planes(src)
-            if unk:
-                p = (unk & -unk).bit_length() - 1
-                raise GateSimError(
-                    f"port {name!r} bit {i} is X in pattern {p}")
-            while ones:
-                p = (ones & -ones).bit_length() - 1
-                out[p] |= 1 << i
-                ones &= ones - 1
-        return out
-
-    def get_port_planes(self, name: str) -> Tuple[List[int], List[int]]:
-        """Read a port as raw bitplanes: per bit, (ones, unknowns)."""
-        srcs = self._ports.get(name)
-        if srcs is None:
-            raise GateSimError(f"no port named {name!r}")
-        self._ensure_settled()
-        ones: List[int] = []
-        unks: List[int] = []
-        for src in srcs:
-            a, x = self._planes(src)
-            ones.append(a)
-            unks.append(x)
-        return ones, unks
-
-    def get_logic_pattern(self, name: str, pattern: int = 0) -> List[int]:
-        """Read a port of one pattern as logic values (X allowed)."""
-        srcs = self._ports.get(name)
-        if srcs is None:
-            raise GateSimError(f"no port named {name!r}")
-        self._ensure_settled()
-        bit = 1 << pattern
-        out = []
-        for src in srcs:
-            ones, unk = self._planes(src)
-            if unk & bit:
-                out.append(L.LX)
-            elif ones & bit:
-                out.append(L.L1)
-            else:
-                out.append(L.L0)
-        return out
-
-    def memory_model(self, name: str, pattern: int = 0):
-        """The pattern-private view of memory *name*."""
-        views = self._mem_views.get(name)
-        if views is None:
-            raise GateSimError(f"no memory named {name!r}")
-        if not 0 <= pattern < self.n_patterns:
-            raise GateSimError(
-                f"pattern {pattern} outside 0..{self.n_patterns - 1}")
-        return views[pattern]
-
-    def privatize_memory(self, name: str, pattern: int):
-        """No-op: native memory storage is pattern-private already."""
-        return self.memory_model(name, pattern)
+    def _reset_memories(self) -> None:
+        for views in self._mem_banks.values():
+            for view in views:
+                view.reset()
 
     # ------------------------------------------------------------------
     # clocking
@@ -694,36 +515,3 @@ class NativeGateSimulator:
         # settle lazily, exactly like the compiled engine: the next
         # read (or next step) re-settles the cone once
         self._dirty = True
-
-    def reset(self) -> None:
-        """Restore flops and memories to their initial state."""
-        M = self._mask
-        for q_slot, init in self._flop_slots:
-            self._s1[q_slot] = M if init else 0
-            self._sx[q_slot] = 0
-        for views in self._mem_views.values():
-            for view in views:
-                view.reset()
-        self.cycles = 0
-        self._dirty = True
-        self._settle()
-
-    # ------------------------------------------------------------------
-    # interop / introspection
-    # ------------------------------------------------------------------
-    @property
-    def values(self) -> List[int]:
-        """Pattern-0 net values indexed by uid (interpreted-compat)."""
-        self._ensure_settled()
-        out = [L.LX] * len(self.netlist.nets)
-        for uid, slot in self._slot.items():
-            out[uid] = (L.LX if self._sx[slot] & 1
-                        else (self._s1[slot] & 1))
-        for uid, index in self._ridx.items():
-            out[uid] = (L.LX if self._rx[index] & 1
-                        else (self._r1[index] & 1))
-        return out
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"NativeGateSimulator({self.netlist.name!r}, "
-                f"n_patterns={self.n_patterns})")

@@ -10,10 +10,12 @@ simulators.  Flops commit on an explicit :meth:`GateSimulator.step`
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..datatypes import logic as L
 from ..datatypes.bits import mask
+from ..native import ENGINES, resolve_engine
 from ..synth.library import EVAL
 from ..synth.netlist import CellInstance, MemoryMacro, Net, Netlist
 from .memory import CheckingMemoryModel, MemoryModel
@@ -24,7 +26,21 @@ class GateSimError(RuntimeError):
 
 
 #: valid values for the ``backend=`` argument of :class:`GateSimulator`
-BACKENDS = ("interpreted", "compiled", "vectorized", "native")
+BACKENDS = ENGINES
+
+
+@functools.lru_cache(maxsize=None)
+def _pattern_engines() -> Dict[str, type]:
+    """Engine name -> pattern-plane simulator class.
+
+    Imported on first use: the engine modules import this one.
+    """
+    from .compiled import CompiledGateSimulator
+    from .native import NativeGateSimulator
+    from .vectorized import VectorizedGateSimulator
+    return {engine.backend: engine for engine in (
+        CompiledGateSimulator, NativeGateSimulator,
+        VectorizedGateSimulator)}
 
 
 class _Unit:
@@ -42,45 +58,31 @@ class _Unit:
 class GateSimulator:
     """Cycle-oriented 4-valued simulator for a :class:`Netlist`.
 
-    ``backend`` selects the engine: ``"interpreted"`` (this class,
-    selective trace, the default), ``"compiled"`` -- a
-    :class:`~repro.gatesim.compiled.CompiledGateSimulator`, same public
-    API, whole-cone codegen plus parallel-pattern evaluation -- or
-    ``"vectorized"``, a
-    :class:`~repro.gatesim.vectorized.VectorizedGateSimulator` running
-    the same generated code over numpy uint64 bitplanes for wide-word
-    pattern counts.
+    ``backend`` selects the engine, and this constructor is the one
+    place a gate-level engine name is resolved: ``"interpreted"`` (this
+    class, selective trace, the default), or one of the pattern-plane
+    engines sharing :class:`~repro.gatesim.host.PatternPlaneHost`'s
+    public API -- ``"compiled"``
+    (:class:`~repro.gatesim.compiled.CompiledGateSimulator`, whole-cone
+    Python codegen plus parallel-pattern evaluation), ``"vectorized"``
+    (:class:`~repro.gatesim.vectorized.VectorizedGateSimulator`, the
+    same generated code over numpy uint64 bitplanes for wide-word
+    pattern counts) or ``"native"``
+    (:class:`~repro.gatesim.native.NativeGateSimulator`, the same
+    dataflow as C over ``uint64_t``, degrading to ``"compiled"`` when
+    no C compiler is present).
     """
 
     backend = "interpreted"
 
     def __new__(cls, netlist: Netlist = None, checking_memories: bool = False,
                 reporter=None, backend: str = "interpreted", **kwargs):
-        if cls is GateSimulator and backend != "interpreted":
-            if backend == "native":
-                from ..native import resolve_backend
-                backend = resolve_backend(backend)
-            if backend == "native":
-                from .native import NativeGateSimulator
-                return NativeGateSimulator(
-                    netlist, checking_memories=checking_memories,
-                    reporter=reporter, **kwargs,
-                )
-            if backend == "compiled":
-                from .compiled import CompiledGateSimulator
-                return CompiledGateSimulator(
-                    netlist, checking_memories=checking_memories,
-                    reporter=reporter, **kwargs,
-                )
-            if backend == "vectorized":
-                from .vectorized import VectorizedGateSimulator
-                return VectorizedGateSimulator(
-                    netlist, checking_memories=checking_memories,
-                    reporter=reporter, **kwargs,
-                )
-            raise GateSimError(
-                f"unknown backend {backend!r} (expected one of {BACKENDS})"
-            )
+        if cls is GateSimulator:
+            engine = _pattern_engines().get(
+                resolve_engine(backend, GateSimError))
+            if engine is not None:
+                return engine(netlist, checking_memories=checking_memories,
+                              reporter=reporter, **kwargs)
         return object.__new__(cls)
 
     def __init__(self, netlist: Netlist, checking_memories: bool = False,

@@ -31,16 +31,14 @@ import numpy as np
 
 from ..datatypes import logic as L
 from ..datatypes.bits import mask
-from ..synth.netlist import CellInstance, MemoryMacro, Netlist
-from .compiled import COMPILE_CACHE, CompileCache, compile_netlist
+from ..synth.netlist import MemoryMacro, Netlist
+from .compiled import CompileCache, compile_netlist
+from .host import PatternPlaneHost
 from .simulator import GateSimError
 
 __all__ = ["VectorizedGateSimulator"]
 
 _U64_FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-#: a plane source: (True, state_slot) or (False, result_index)
-_Src = Tuple[bool, int]
 
 
 def _unpack(plane: np.ndarray, n_patterns: int) -> np.ndarray:
@@ -94,6 +92,9 @@ class _VecMemory:
     def reset(self) -> None:
         self.data = self._fresh()
 
+    def __getitem__(self, pattern: int) -> "_VecMemoryView":
+        return _VecMemoryView(self, pattern)
+
 
 class _VecMemoryView:
     """One pattern's view of a :class:`_VecMemory` (FI poke surface)."""
@@ -122,13 +123,15 @@ class _VecMemoryView:
         return [int(v) for v in self._mem.data[self._pattern]]
 
 
-class VectorizedGateSimulator:
+class VectorizedGateSimulator(PatternPlaneHost):
     """Wide-word parallel-pattern gate simulator over numpy bitplanes.
 
     Public API mirrors :class:`~repro.gatesim.compiled.CompiledGateSimulator`
     exactly (single-value calls broadcast writes / read pattern 0); the
     pattern count is unbounded by the machine word, so whole seeded
     faultloads or thousands of stimulus vectors evaluate per pass.
+    Only the methods whose numpy planes really differ from integer
+    planes are overridden here.
     """
 
     backend = "vectorized"
@@ -136,114 +139,51 @@ class VectorizedGateSimulator:
     def __init__(self, netlist: Netlist, checking_memories: bool = False,
                  reporter=None, n_patterns: int = 1,
                  cache: Optional[CompileCache] = None):
-        if n_patterns < 1:
-            raise GateSimError(f"n_patterns must be >= 1, got {n_patterns}")
         if checking_memories:
             raise GateSimError(
                 "checking memories are not supported by the vectorized "
                 "backend (use 'interpreted' or 'compiled')"
             )
-        netlist.validate()
-        self.netlist = netlist
-        self.n_patterns = n_patterns
-        self.cycles = 0
+        super().__init__(netlist, n_patterns, cache)
+
+    # ------------------------------------------------------------------
+    # storage
+    # ------------------------------------------------------------------
+    def _compile(self, netlist: Netlist, cache: Optional[CompileCache]):
+        return compile_netlist(netlist, cache=cache, backend="vectorized")
+
+    def _allocate(self) -> None:
+        n_patterns = self.n_patterns
         self._n_words = (n_patterns + 63) // 64
-        self.program = compile_netlist(netlist, cache=cache,
-                                       backend="vectorized")
-
-        self._slot = {uid: i for i, uid in
-                      enumerate(self.program.state_uids)}
-        self._ridx = {uid: i for i, uid in
-                      enumerate(self.program.result_uids)}
-
         m = np.full(self._n_words, _U64_FULL, dtype=np.uint64)
         tail = n_patterns % 64
         if tail:
             m[-1] = np.uint64((1 << tail) - 1)
-        self._M = m
-        self._zeros = np.zeros(self._n_words, dtype=np.uint64)
+        self._mask = m
+        self._zero = np.zeros(self._n_words, dtype=np.uint64)
         self._rows = np.arange(n_patterns)
 
         # vectorized memories (pattern-major storage)
-        self._vec_mems: Dict[str, _VecMemory] = {}
-        self._macros: Dict[str, MemoryMacro] = {}
+        self._mem_banks: Dict[str, _VecMemory] = {}
         self.memories: Dict[str, _VecMemoryView] = {}
-        for macro in netlist.memories:
-            self._macros[macro.name] = macro
+        for macro in self.netlist.memories:
             mem = _VecMemory(macro, n_patterns)
-            self._vec_mems[macro.name] = mem
-            self.memories[macro.name] = _VecMemoryView(mem, 0)
+            self._mem_banks[macro.name] = mem
+            self.memories[macro.name] = mem[0]
 
         self._mem_hooks = [
-            self._make_read_hook(self._macros[name], port_index)
-            for name, port_index in self.program.mem_ports
+            self._make_read_hook(self._mem_banks[name])
+            for name, _port_index in self.program.mem_ports
         ]
 
         # state planes (arrays are never mutated in place, so sharing
         # references to M / zeros is safe)
         n_state = len(self.program.state_uids)
-        self._s1: List[np.ndarray] = [self._zeros] * n_state
-        self._sx: List[np.ndarray] = [self._zeros] * n_state
-        self._s1[self._slot[netlist.const1.uid]] = self._M
-        for uid in self.program.x_state_uids:
-            self._sx[self._slot[uid]] = self._M
-
-        # flops
-        self._flops: List[CellInstance] = netlist.flops()
-        self._flop_ops: List[Tuple[int, int, _Src, Optional[_Src],
-                                   Optional[_Src]]] = []
-        for flop in self._flops:
-            q_slot = self._slot[flop.outputs["Q"].uid]
-            init = flop.init & 1
-            self._s1[q_slot] = self._M if init else self._zeros
-            if flop.cell_type == "SDFF":
-                entry = (q_slot, init, self._src(flop.pins["D"].uid),
-                         self._src(flop.pins["SI"].uid),
-                         self._src(flop.pins["SE"].uid))
-            else:
-                entry = (q_slot, init, self._src(flop.pins["D"].uid),
-                         None, None)
-            self._flop_ops.append(entry)
-
-        # write ports: (memory, enable src, addr srcs, data srcs)
-        self._write_ops: List[Tuple[_VecMemory, _Src,
-                                    List[_Src], List[_Src]]] = []
-        for macro in netlist.memories:
-            for wp in macro.write_ports:
-                self._write_ops.append((
-                    self._vec_mems[macro.name],
-                    self._src(wp.enable.uid),
-                    [self._src(n.uid) for n in wp.addr],
-                    [self._src(n.uid) for n in wp.data],
-                ))
-
-        # port lookup tables (outputs shadow inputs, like interpreted get)
-        self._ports: Dict[str, List[_Src]] = {}
-        for name, nets in list(netlist.outputs.items()) + \
-                list(netlist.inputs.items()):
-            self._ports.setdefault(
-                name, [self._src(n.uid) for n in nets]
-            )
-
+        self._s1: List[np.ndarray] = [self._zero] * n_state
+        self._sx: List[np.ndarray] = [self._zero] * n_state
         self._r1: Tuple[np.ndarray, ...] = ()
         self._rx: Tuple[np.ndarray, ...] = ()
-        self._dirty = True
-        self._settle()
-
-    # ------------------------------------------------------------------
-    # plumbing
-    # ------------------------------------------------------------------
-    def _src(self, uid: int) -> _Src:
-        slot = self._slot.get(uid)
-        if slot is not None:
-            return (True, slot)
-        return (False, self._ridx[uid])
-
-    def _planes(self, src: _Src) -> Tuple[np.ndarray, np.ndarray]:
-        state, index = src
-        if state:
-            return self._s1[index], self._sx[index]
-        return self._r1[index], self._rx[index]
+        self._write_ops = self._write_table()
 
     def _decode_address(self, addr1, addrx
                         ) -> Tuple[np.ndarray, np.ndarray]:
@@ -258,14 +198,12 @@ class VectorizedGateSimulator:
                 unknown |= _unpack(plane, n).astype(bool)
         return addr, unknown
 
-    def _make_read_hook(self, macro: MemoryMacro, port_index: int):
-        mem = self._vec_mems[macro.name]
-        width = macro.width
-        depth = macro.depth
-        n = self.n_patterns
+    def _make_read_hook(self, mem: _VecMemory):
+        width = mem.width
+        depth = mem.depth
         n_words = self._n_words
         rows = self._rows
-        zeros = self._zeros
+        zeros = self._zero
 
         def hook(addr1, addrx, en1, enx):
             # the plain array model returns data regardless of the
@@ -291,61 +229,16 @@ class VectorizedGateSimulator:
 
     def _settle(self) -> None:
         self._r1, self._rx = self.program.fn(
-            self._s1, self._sx, self._mem_hooks, self._M
+            self._s1, self._sx, self._mem_hooks, self._mask
         )
         self._dirty = False
 
-    def _ensure_settled(self) -> None:
-        if self._dirty:
-            self._settle()
+    def _reset_memories(self) -> None:
+        for mem in self._mem_banks.values():
+            mem.reset()
 
     # ------------------------------------------------------------------
-    # single-value API (GateSimulator-compatible; pattern 0)
-    # ------------------------------------------------------------------
-    def set_input(self, name: str, value: int) -> None:
-        """Drive *value* on input *name*, broadcast to all patterns."""
-        nets = self.netlist.inputs.get(name)
-        if nets is None:
-            raise GateSimError(f"no input named {name!r}")
-        value &= mask(len(nets))
-        M, zeros = self._M, self._zeros
-        s1, sx, slot = self._s1, self._sx, self._slot
-        for i, net in enumerate(nets):
-            j = slot[net.uid]
-            s1[j] = M if (value >> i) & 1 else zeros
-            sx[j] = zeros
-        self._dirty = True
-
-    def set_input_logic(self, name: str, values: Sequence[int]) -> None:
-        """Drive raw logic values (LSB first; X allowed) on *name*."""
-        nets = self.netlist.inputs.get(name)
-        if nets is None:
-            raise GateSimError(f"no input named {name!r}")
-        if len(values) != len(nets):
-            raise GateSimError(
-                f"input {name!r} is {len(nets)} bits, got {len(values)}"
-            )
-        M, zeros = self._M, self._zeros
-        for net, v in zip(nets, values):
-            j = self._slot[net.uid]
-            if v == L.L1:
-                self._s1[j], self._sx[j] = M, zeros
-            elif v == L.L0:
-                self._s1[j], self._sx[j] = zeros, zeros
-            else:
-                self._s1[j], self._sx[j] = zeros, M
-        self._dirty = True
-
-    def get(self, name: str) -> int:
-        """Read a port of pattern 0 as an integer (X/Z raise)."""
-        return self.get_patterns(name)[0]
-
-    def get_logic(self, name: str) -> List[int]:
-        """Read a port of pattern 0 as raw logic values (LSB first)."""
-        return self.get_logic_pattern(name, 0)
-
-    # ------------------------------------------------------------------
-    # pattern-parallel API
+    # pattern-parallel API over numpy planes
     # ------------------------------------------------------------------
     def set_input_patterns(self, name: str,
                            values: Sequence[int]) -> None:
@@ -372,7 +265,7 @@ class VectorizedGateSimulator:
                 bit = ((vals >> np.uint64(i)) &
                        np.uint64(1)).astype(np.uint8)
                 self._s1[j] = _pack(bit, n_words)
-                self._sx[j] = self._zeros
+                self._sx[j] = self._zero
         else:
             w_mask = mask(width)
             planes = [0] * width
@@ -388,7 +281,7 @@ class VectorizedGateSimulator:
             for i, net in enumerate(nets):
                 j = self._slot[net.uid]
                 self._s1[j] = _int_to_plane(planes[i], n_words)
-                self._sx[j] = self._zeros
+                self._sx[j] = self._zero
         self._dirty = True
 
     def get_patterns(self, name: str) -> List[int]:
@@ -414,10 +307,9 @@ class VectorizedGateSimulator:
         return out
 
     def get_port_planes(self, name: str) -> Tuple[List[int], List[int]]:
-        """Read a port as raw bitplanes: per bit, (ones, unknowns).
+        """Read a port as raw bitplanes, as Python integers.
 
-        Bit *p* of each returned (Python integer) plane belongs to
-        pattern *p*, matching the compiled backend bit for bit -- the
+        Matches the integer-plane engines bit for bit -- the
         fault-injection classification code consumes either engine's
         planes through the same decoder.
         """
@@ -432,25 +324,6 @@ class VectorizedGateSimulator:
             ones.append(_plane_to_int(a))
             unks.append(_plane_to_int(x))
         return ones, unks
-
-    def memory_model(self, name: str, pattern: int = 0) -> _VecMemoryView:
-        """One pattern's poke/peek view of a memory.
-
-        Storage is pattern-major and always pattern-private, so unlike
-        the compiled backend there is no ROM aliasing to undo.
-        """
-        mem = self._vec_mems.get(name)
-        if mem is None:
-            raise GateSimError(f"no memory named {name!r}")
-        if not 0 <= pattern < self.n_patterns:
-            raise GateSimError(
-                f"pattern {pattern} outside 0..{self.n_patterns - 1}"
-            )
-        return _VecMemoryView(mem, pattern)
-
-    def privatize_memory(self, name: str, pattern: int) -> _VecMemoryView:
-        """Pattern-private memory view (already private here)."""
-        return self.memory_model(name, pattern)
 
     def get_logic_pattern(self, name: str, pattern: int = 0) -> List[int]:
         """Read a port of one pattern as logic values (X allowed)."""
@@ -476,25 +349,12 @@ class VectorizedGateSimulator:
     # ------------------------------------------------------------------
     def step(self, cycles: int = 1) -> None:
         """Advance one or more clock edges (all patterns at once)."""
-        M = self._M
         n = self.n_patterns
         rows = self._rows
         for _ in range(cycles):
             self._ensure_settled()
             planes = self._planes
-            # sample flop inputs
-            updates: List[Tuple[int, np.ndarray, np.ndarray]] = []
-            for q_slot, _init, d_src, si_src, se_src in self._flop_ops:
-                d1, dx = planes(d_src)
-                if se_src is not None:
-                    e1, ex = planes(se_src)
-                    s1, sx = planes(si_src)  # type: ignore[arg-type]
-                    e0 = M & ~(e1 | ex)
-                    nd1 = (e1 & s1) | (e0 & d1)
-                    ndx = (e1 & sx) | (e0 & dx) | ex
-                else:
-                    nd1, ndx = d1, dx
-                updates.append((q_slot, nd1, ndx))
+            updates = self._sample_flops()
             # sample + commit memory writes (decode reads pre-edge
             # planes only, so committing per port preserves port order)
             for mem, en_src, addr_srcs, data_srcs in self._write_ops:
@@ -527,18 +387,6 @@ class VectorizedGateSimulator:
             # settle lazily, like the compiled backend
             self._dirty = True
 
-    def reset(self) -> None:
-        """Restore flops and memories to their initial state."""
-        M, zeros = self._M, self._zeros
-        for q_slot, init, *_rest in self._flop_ops:
-            self._s1[q_slot] = M if init else zeros
-            self._sx[q_slot] = zeros
-        for mem in self._vec_mems.values():
-            mem.reset()
-        self.cycles = 0
-        self._dirty = True
-        self._settle()
-
     # ------------------------------------------------------------------
     # interop / introspection
     # ------------------------------------------------------------------
@@ -555,7 +403,3 @@ class VectorizedGateSimulator:
             out[uid] = (L.LX if self._rx[index][0] & one
                         else int(self._r1[index][0] & one))
         return out
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"VectorizedGateSimulator({self.netlist.name!r}, "
-                f"n_patterns={self.n_patterns})")

@@ -5,6 +5,7 @@ from .codegen import GeneratedFsm, generate_rtl
 from .compiled import (HLS_COMPILE_CACHE, CompiledFsm, CompiledFsmBatch,
                        HlsCompiledProgram, compile_fsm, fsm_digest)
 from .delay import estimate_delay, node_delay
+from .engines import fsm_engine
 from .interpreter import FsmInterpreter
 from .ir import (Assign, For, HlsError, HlsMemory, HlsPort, HlsProgram, If,
                  MemReadStmt, MemWriteStmt, PortWrite, Stmt, WaitCycle,
@@ -29,6 +30,7 @@ __all__ = [
     "Transition", "VectorizedFsm", "VectorizedFsmBatch", "WaitCycle",
     "WaitUntil", "bind_registers", "compile_fsm", "compile_fsm_native",
     "compile_fsm_vectorized",
-    "compute_liveness", "estimate_delay", "fsm_digest", "generate_rtl",
+    "compute_liveness", "estimate_delay", "fsm_digest", "fsm_engine",
+    "generate_rtl",
     "node_delay", "prune_dead_reg_writes",
 ]

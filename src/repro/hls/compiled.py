@@ -306,6 +306,8 @@ class CompiledFsm:
     fault-injection campaign pokes -- over the compiled stepper.
     """
 
+    backend = "compiled"
+
     def __init__(self, fsm: Fsm, mem_monitor: Optional[MemMonitor] = None,
                  cache: Optional[CompileCache] = None):
         self.fsm = fsm
@@ -368,6 +370,8 @@ class CompiledFsmBatch:
     ``patterns x cycles``.
     """
 
+    backend = "compiled"
+
     def __init__(self, fsm: Fsm, n_patterns: int,
                  mem_monitor: Optional[MemMonitor] = None,
                  cache: Optional[CompileCache] = None):
@@ -413,6 +417,11 @@ class CompiledFsmBatch:
         if port is None or port.direction != "out":
             raise KeyError(f"{name!r} is not an output port")
         return [env[name] for env in self.envs]
+
+    def flip_bit(self, pattern: int, name: str, bit: int) -> None:
+        """XOR one bit of one pattern's environment entry (fault pokes)."""
+        env = self.envs[pattern]
+        env[name] = env[name] ^ (1 << bit)
 
     def write_memory(self, pattern: int, mem: str, address: int,
                      value: int) -> None:

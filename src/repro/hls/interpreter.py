@@ -29,6 +29,8 @@ MemMonitor = Callable[[str, int, int, str], None]
 class FsmInterpreter:
     """Executes one :class:`Fsm` cycle by cycle."""
 
+    backend = "interpreted"
+
     def __init__(self, fsm: Fsm, mem_monitor: Optional[MemMonitor] = None):
         self.fsm = fsm
         self.program: HlsProgram = fsm.program

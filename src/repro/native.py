@@ -36,11 +36,13 @@ import warnings
 from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
-    "NATIVE_SCHEMA_VERSION", "NativeFallbackWarning", "NativeModule",
+    "ENGINES", "NATIVE_SCHEMA_VERSION", "NativeFallbackWarning",
+    "NativeModule",
     "NativeToolchainError", "build_shared_object", "compile_and_load",
     "adaptive_cflags", "find_compiler", "native_cache_dir",
     "native_cflags",
-    "resolve_backend", "toolchain_available", "toolchain_info",
+    "resolve_backend", "resolve_engine", "toolchain_available",
+    "toolchain_info",
 ]
 
 #: bump to invalidate every on-disk artifact (ABI or codegen changes)
@@ -184,6 +186,22 @@ def resolve_backend(backend: str) -> str:
             "backend=\"native\" falling back to \"compiled\"",
             NativeFallbackWarning, stacklevel=2)
     return "compiled"
+
+
+#: every simulation engine of the clocked levels (behavioural, RTL, gate)
+ENGINES = ("interpreted", "compiled", "vectorized", "native")
+
+
+def resolve_engine(backend: str, error=ValueError) -> str:
+    """Check an engine name against :data:`ENGINES`, then resolve it.
+
+    The single step each level's engine factory takes: an unknown name
+    raises *error*, and ``native`` degrades per :func:`resolve_backend`.
+    """
+    if backend not in ENGINES:
+        raise error(
+            f"unknown backend {backend!r} (expected one of {ENGINES})")
+    return resolve_backend(backend)
 
 
 # ----------------------------------------------------------------------

@@ -15,10 +15,19 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..datatypes.bits import mask
+from ..native import ENGINES, resolve_engine
 from .ir import RtlError, RtlModule
+from .native import NativeRtlSimulator
+from .vectorized import VectorizedRtlSimulator
 
 #: monitor signature: (memory name, address, depth, "read"/"write")
 MemMonitor = Callable[[str, int, int, str], None]
+
+
+#: engine name -> simulator class, for the engines that do not run
+#: inside :class:`RtlSimulator`
+_ENGINE_CLASSES = {engine.backend: engine
+                   for engine in (NativeRtlSimulator, VectorizedRtlSimulator)}
 
 
 class RtlSimulator:
@@ -41,49 +50,29 @@ class RtlSimulator:
     def __new__(cls, module: RtlModule = None,
                 mem_monitor: Optional[MemMonitor] = None,
                 backend: str = "interpreted", **kwargs):
-        if cls is RtlSimulator and mem_monitor is None:
-            if backend == "vectorized":
-                from .vectorized import VectorizedRtlSimulator
-                return VectorizedRtlSimulator(module, **kwargs)
-            if backend == "native":
-                from ..native import resolve_backend
-                if resolve_backend(backend) == "native":
-                    from .native import NativeRtlSimulator
-                    return NativeRtlSimulator(module, **kwargs)
-                # no toolchain: fall through, __init__ resolves again
-        return object.__new__(cls)
+        # the one place an RTL engine name is resolved
+        if mem_monitor is not None and backend in ENGINES:
+            backend = "interpreted"
+        backend = resolve_engine(backend, RtlError)
+        engine = _ENGINE_CLASSES.get(backend)
+        if cls is RtlSimulator and engine is not None:
+            return engine(module, **kwargs)
+        self = object.__new__(cls)
+        self.backend = backend
+        return self
 
     def __init__(self, module: RtlModule,
                  mem_monitor: Optional[MemMonitor] = None,
                  backend: str = "interpreted", **kwargs):
-        if backend not in ("interpreted", "compiled", "vectorized",
-                           "native"):
-            raise RtlError(
-                f"unknown backend {backend!r} (expected 'interpreted', "
-                "'compiled', 'vectorized' or 'native')"
-            )
+        # self.backend was resolved by __new__
         if kwargs:
             raise RtlError(
-                f"unsupported options for the {backend!r} backend: "
+                f"unsupported options for the {self.backend!r} backend: "
                 f"{sorted(kwargs)}"
             )
-        if backend == "native":
-            if mem_monitor is not None:
-                # monitors need per-access callbacks
-                backend = "interpreted"
-            else:
-                # only reachable without a toolchain (see __new__)
-                from ..native import resolve_backend
-                backend = resolve_backend(backend)
-        if backend == "vectorized":
-            # only reachable with a memory monitor (see __new__)
-            backend = "interpreted"
         module.validate()
         self.module = module
         self.mem_monitor = mem_monitor
-        if mem_monitor is not None:
-            backend = "interpreted"
-        self.backend = backend
         self.cycles = 0
 
         # memories
@@ -136,7 +125,7 @@ class RtlSimulator:
                         (mem.name, mem.depth, rport.addr.compile(), enable_fn)
                     )
         self._run = None
-        if backend == "compiled":
+        if self.backend == "compiled":
             from .compiled import compile_rtl
             self._run = compile_rtl(module).fn
         self._in_names = set(module.input_names())

@@ -18,8 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..compile_cache import absorb_deltas, counters_delta, counters_snapshot
 from ..flow.refinement import Level
 from ..obs.trace import span
+from ..pool import parallel_map
 from ..src_design.params import SMALL_PARAMS, SrcParams
 from ..synth import synthesize
 from .coverage import InputCoverage, ToggleCoverage
@@ -180,8 +182,6 @@ def _verify_case_task(case: StimulusCase):
     compile-cache deltas -- everything the parent needs to keep
     coverage and cache statistics identical to a sequential run.
     """
-    from ..compile_cache import counters_delta, counters_snapshot
-
     before = counters_snapshot()
     coverage = ToggleCoverage()
     case_report = run_differential(
@@ -211,9 +211,6 @@ def run_verify(config: VerifyConfig) -> VerifyReport:
         cases = generate_cases(params, config.seed, budget.n_cases,
                                budget.n_inputs)
         if config.jobs > 1 and len(cases) > 1:
-            from ..compile_cache import absorb_deltas
-            from ..fi.campaign import parallel_map
-
             results = parallel_map(
                 _verify_case_task, cases, config.jobs,
                 initializer=_init_verify_worker,

@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..flow.refinement import Level, build_module
 from ..gatesim import GateSimulator
+from ..native import ENGINES
 from ..obs.trace import span
 from ..rtl import RtlSimulator
 from ..src_design.algorithmic import AlgorithmicSrc
@@ -92,19 +93,12 @@ def parse_level_specs(text: str, backend: str = "interpreted"
     are cross-checked against each other.  ``native`` degrades to
     ``compiled`` when no C toolchain is present.
     """
-    groups = {
-        "interpreted": ("interpreted",),
-        "compiled": ("compiled",),
-        "vectorized": ("vectorized",),
-        "native": ("native",),
-        "both": ("interpreted", "compiled"),
-        "all": ("interpreted", "compiled", "vectorized", "native"),
-    }
+    groups = {engine: (engine,) for engine in ENGINES}
+    groups.update(both=("interpreted", "compiled"), all=ENGINES)
     if backend not in groups:
         raise ValueError(
             f"unknown backend {backend!r} "
-            "(expected 'interpreted', 'compiled', 'vectorized', "
-            "'native', 'both' or 'all')"
+            f"(expected one of {tuple(groups)})"
         )
     specs: List[LevelSpec] = []
     for token in text.split(","):

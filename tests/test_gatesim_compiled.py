@@ -296,6 +296,99 @@ def test_get_patterns_round_trip(backend):
     assert comp.get_patterns("y") == [7, 4, 2, 0]
 
 
+# ------------------------------------------- shared pattern-plane host
+def _rom_ram_netlist():
+    """A ROM and a RAM read at one address, plus a per-pattern X gate.
+
+    ``gated = xin & sel``: with ``xin`` driven X, patterns whose
+    ``sel`` is 1 read X and the others read 0.
+    """
+    nl = Netlist("rom_ram")
+    addr = nl.add_input("addr", 2)
+    we = nl.add_input("we", 1)[0]
+    wdata = nl.add_input("wdata", 3)
+    xin = nl.add_input("xin", 1)[0]
+    sel = nl.add_input("sel", 1)[0]
+    rom = nl.add_memory("rom", 4, 3, [1, 2, 5, 6])
+    ram = nl.add_memory("ram", 4, 3)
+    nl.set_output("rom_q", nl.add_mem_read_port(rom, addr))
+    nl.set_output("ram_q", nl.add_mem_read_port(ram, addr))
+    nl.add_mem_write_port(ram, we, addr, wdata)
+    gate = nl.add_cell("AND2", {"A": xin, "B": sel})
+    nl.set_output("gated", [gate.outputs["Y"]])
+    return nl
+
+
+@pytest.mark.parametrize("n_patterns", [1, 64])
+@pytest.mark.parametrize("backend", CODEGEN_BACKENDS)
+@pytest.mark.parametrize("memory", ["rom", "ram"])
+def test_privatized_flip_changes_one_pattern(memory, backend, n_patterns):
+    sim = GateSimulator(_rom_ram_netlist(), backend=backend,
+                        n_patterns=n_patterns)
+    sim.set_input("addr", 2)
+    sim.step()
+    port = f"{memory}_q"
+    before = sim.get_patterns(port)
+    contents = [sim.memory_model(memory, p).peek()
+                for p in range(n_patterns)]
+    target = n_patterns * 3 // 5
+    sim.privatize_memory(memory, target).flip_bit(2, 1)
+    sim.step()
+    expected = list(before)
+    expected[target] ^= 0b010
+    assert sim.get_patterns(port) == expected
+    for p in range(n_patterns):
+        peek = sim.memory_model(memory, p).peek()
+        if p == target:
+            assert peek[2] == contents[p][2] ^ 0b010
+            assert peek[:2] + peek[3:] == contents[p][:2] + contents[p][3:]
+        else:
+            assert peek == contents[p], (memory, p)
+
+
+@pytest.mark.parametrize("n_patterns", [1, 64])
+@pytest.mark.parametrize("backend", CODEGEN_BACKENDS)
+def test_port_planes_match_logic_patterns(backend, n_patterns):
+    sim = GateSimulator(_rom_ram_netlist(), backend=backend,
+                        n_patterns=n_patterns)
+    rng = random.Random(n_patterns)
+    sim.set_input_logic("xin", [LX])
+    sim.set_input_patterns("sel", [rng.randrange(2)
+                                   for _ in range(n_patterns)])
+    sim.set_input_patterns("wdata", [rng.randrange(8)
+                                     for _ in range(n_patterns)])
+    sim.set_input("we", 1)
+    for cycle in range(3):
+        sim.set_input_patterns("addr", [rng.randrange(4)
+                                        for _ in range(n_patterns)])
+        sim.step()
+        if cycle == 2:
+            # an X address reads all-X data from both memories
+            sim.set_input_logic("addr", [LX, L0])
+        for port in ("rom_q", "ram_q", "gated"):
+            ones, unks = sim.get_port_planes(port)
+            for p in range(n_patterns):
+                decoded = [LX if unk >> p & 1 else (one >> p & 1)
+                           for one, unk in zip(ones, unks)]
+                assert decoded == sim.get_logic_pattern(port, p), \
+                    (port, p, cycle)
+    assert any(unk for unk in sim.get_port_planes("rom_q")[1])
+
+
+@pytest.mark.parametrize("n_patterns", [1, 64])
+@pytest.mark.parametrize("backend", CODEGEN_BACKENDS)
+def test_memory_model_rejects_out_of_range_pattern(backend, n_patterns):
+    sim = GateSimulator(_rom_ram_netlist(), backend=backend,
+                        n_patterns=n_patterns)
+    for memory in ("rom", "ram"):
+        sim.memory_model(memory, n_patterns - 1)
+        for pattern in (-1, n_patterns):
+            with pytest.raises(GateSimError):
+                sim.memory_model(memory, pattern)
+    with pytest.raises(GateSimError):
+        sim.memory_model("nope")
+
+
 def test_vectorized_runs_past_the_word_cap():
     """The vectorized engine's reason to exist: pattern counts far
     beyond the 64 that fit one machine word, bit-exact per lane."""

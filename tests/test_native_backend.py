@@ -200,6 +200,27 @@ def test_simulators_degrade_without_toolchain(no_toolchain):
     sim.step()
     assert sim.get("y") == 9
 
+    # each level resolves the engine once: one fallback per construction
+    from repro.gatesim import GateSimulator
+    from repro.src_design.behavioral import BehavioralSimulation
+    from repro.src_design.params import SMALL_PARAMS
+    from repro.synth.netlist import Netlist
+
+    nl = Netlist("n")
+    nl.set_output("y", nl.add_input("a", 1))
+    builds = {
+        "gate": lambda: GateSimulator(nl, backend="native"),
+        "rtl": lambda: RtlSimulator(m, backend="native"),
+        "beh": lambda: BehavioralSimulation(SMALL_PARAMS,
+                                            backend="native"),
+    }
+    for level, build in builds.items():
+        fall0 = _counter_value("repro_native_fallback_total")
+        sim = build()
+        assert sim.backend == "compiled", level
+        assert _counter_value("repro_native_fallback_total") == \
+            fall0 + 1, level
+
 
 @needs_cc
 def test_gate_native_pattern_cap():

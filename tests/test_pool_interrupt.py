@@ -42,7 +42,7 @@ def test_pool_interrupt_tears_down_and_carries_partial_results(
     """A Ctrl-C in the parent while consuming pool results terminates
     and joins every worker (no orphans) and hands back the completed
     prefix."""
-    from repro.fi import campaign as C
+    from repro import pool as P
 
     class InterruptingPool:
         """A real pool whose result stream is cut short by a
@@ -69,7 +69,7 @@ def test_pool_interrupt_tears_down_and_carries_partial_results(
 
     real_get_context = multiprocessing.get_context
     monkeypatch.setattr(
-        C.multiprocessing, "get_context",
+        P.multiprocessing, "get_context",
         lambda method: Ctx(real_get_context(method)))
 
     before = multiprocessing.active_children()
