@@ -19,6 +19,10 @@ the behavioural :class:`~repro.gatesim.memory.MemoryModel` exactly:
 X address bits turn a read all-X and drop a write; out-of-range reads
 return 0 and writes are dropped; X data or X enable commits 0.
 
+The kernel is emitted as a driver unit plus one C translation unit
+per settle chunk, which :func:`repro.native.build_shared_object`
+compiles in parallel and links into one shared object.
+
 Artifacts are cached in the shared ``COMPILE_CACHE`` under the same
 structural digest as the other engines, tagged ``backend="native"``,
 and the underlying ``.so`` persists in the on-disk cache across
@@ -33,7 +37,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..compile_cache import CompileCache
 from ..datatypes import logic as L
 from ..datatypes.bits import mask
-from ..native import NativeModule, compile_and_load
+from ..native import NativeModule, compile_and_load, join_units
 from ..synth.library import CODEGEN
 from ..synth.netlist import CellInstance, Netlist
 from .compiled import COMPILE_CACHE, structural_hash
@@ -47,8 +51,18 @@ __all__ = ["NativeGateProgram", "NativeGateSimulator",
 #: native planes are single machine words: one pattern per bit
 WORD_PATTERNS = 64
 
-#: settle-chunk budget (source lines per generated C function)
+#: settle-chunk budget (source lines per generated C function).  Each
+#: chunk is its own translation unit: the compiler cannot inline the
+#: chunks back into one huge function (it is superlinear there), and
+#: the units compile in parallel
 _CHUNK_LINES = 600
+
+#: the parameter list every settle function shares
+_SETTLE_PARAMS = ("(uint64_t *S1, uint64_t *SX, uint64_t *R1, "
+                  "uint64_t *RX,\n    uint64_t *MEM, uint64_t M, int NP)")
+
+#: chunks link across units but stay out of the shared object's exports
+_HIDDEN = '__attribute__((visibility("hidden")))'
 
 _CDEF = ("void nat_run(uint64_t* S1, uint64_t* SX, uint64_t* R1, "
          "uint64_t* RX, uint64_t* MEM, uint64_t M, long cycles, "
@@ -74,7 +88,11 @@ class NativeGateProgram:
 
 
 def _generate_c_source(netlist: Netlist):
-    """Emit the C kernel; returns (source, layout tables)."""
+    """Emit the C kernel; returns (translation units, layout tables).
+
+    The first unit is the driver (``nat_run`` and the ``settle``
+    dispatcher), then one unit per settle chunk.
+    """
     units = levelize(netlist, error=GateSimError)
     lib = netlist.library
 
@@ -138,31 +156,27 @@ def _generate_c_source(netlist: Netlist):
                 result_uids.append(n.uid)
     ridx = {uid: i for i, uid in enumerate(result_uids)}
 
-    # the settle cone is split into chunks of a few hundred units so
-    # the optimizer sees many small basic blocks instead of one huge
-    # one (gcc/clang are superlinear there); chunk-crossing values
+    # the settle cone is split into chunks of a few hundred lines, one
+    # translation unit each (see _CHUNK_LINES); chunk-crossing values
     # travel through the R1/RX result arrays
-    lines: List[str] = ["#include <stdint.h>", ""]
-    n_chunks = 0
+    chunks: List[str] = []
     chunk_lines: List[str] = []
     declared: set = set()
 
     def open_chunk() -> None:
         nonlocal chunk_lines
         chunk_lines = [
-            f"static void settle{n_chunks}(uint64_t *S1, uint64_t *SX,",
-            "    uint64_t *R1, uint64_t *RX, uint64_t *MEM, uint64_t M,",
-            "    int NP) {",
+            "#include <stdint.h>",
+            "",
+            _HIDDEN,
+            f"void settle{len(chunks)}{_SETTLE_PARAMS} {{",
             "  (void)R1; (void)RX; (void)MEM; (void)M; (void)NP;",
         ]
         declared.clear()
 
     def close_chunk() -> None:
-        nonlocal n_chunks
         chunk_lines.append("}")
-        lines.extend(chunk_lines)
-        lines.append("")
-        n_chunks += 1
+        chunks.append("\n".join(chunk_lines) + "\n")
 
     def ref(uid: int) -> Tuple[str, str]:
         """Local names for a net's planes, loading them on first use."""
@@ -241,11 +255,12 @@ def _generate_c_source(netlist: Netlist):
                                    f"RX[{i}] = x{n.uid};")
     close_chunk()
 
-    lines.append("static void settle(uint64_t *S1, uint64_t *SX, "
-                 "uint64_t *R1,")
-    lines.append("                   uint64_t *RX, uint64_t *MEM, "
-                 "uint64_t M, int NP) {")
-    for k in range(n_chunks):
+    lines: List[str] = ["#include <stdint.h>", ""]
+    for k in range(len(chunks)):
+        lines.append(f"{_HIDDEN} void settle{k}{_SETTLE_PARAMS};")
+    lines.append("")
+    lines.append(f"static void settle{_SETTLE_PARAMS} {{")
+    for k in range(len(chunks)):
         lines.append(f"  settle{k}(S1, SX, R1, RX, MEM, M, NP);")
     lines.append("}")
     lines.append("")
@@ -321,9 +336,9 @@ def _generate_c_source(netlist: Netlist):
     lines.append("  if (settle_after) "
                  "settle(S1, SX, R1, RX, MEM, M, NP);")
     lines.append("}")
-    source = "\n".join(lines) + "\n"
-    return (source, state_uids, result_uids, mem_layout, mem_words,
-            x_state_uids)
+    driver = "\n".join(lines) + "\n"
+    return ([driver, *chunks], state_uids, result_uids, mem_layout,
+            mem_words, x_state_uids)
 
 
 def compile_netlist_native(netlist: Netlist,
@@ -342,11 +357,11 @@ def compile_netlist_native(netlist: Netlist,
     key = structural_hash(netlist)
 
     def factory() -> NativeGateProgram:
-        (source, state_uids, result_uids, mem_layout, mem_words,
+        (units, state_uids, result_uids, mem_layout, mem_words,
          x_state_uids) = _generate_c_source(netlist)
-        module = compile_and_load(source, _CDEF, tag="gate")
+        module = compile_and_load(units, _CDEF, tag="gate")
         return NativeGateProgram(
-            source=source,
+            source=join_units(units),
             module=module,
             run=module.fn("nat_run"),
             state_uids=state_uids,

@@ -3,22 +3,27 @@
 Covers the pieces the four-engine equivalence sweeps do not: compiler
 discovery and its ``$CC`` override, digest-addressed ``.so``
 persistence across processes, schema-version invalidation, corrupt
-artifact recovery, LRU eviction, the single-warning degradation to the
-compiled backend on toolchain-less hosts, and the Prometheus schema of
-the native cache counters.
+artifact recovery, LRU eviction, multi-unit parallel builds (failure
+clean-up, concurrent builders, the gate kernel's unit split), the
+single-warning degradation to the compiled backend on toolchain-less
+hosts, and the Prometheus schema of the native cache counters.
 """
 
+import ctypes
 import os
+import re
 import subprocess
 import sys
+import time
 import warnings
 
 import pytest
 
 import repro.native as native
 from repro.native import (NATIVE_SCHEMA_VERSION, NativeFallbackWarning,
-                          build_shared_object, compile_and_load,
-                          find_compiler, resolve_backend, source_digest,
+                          NativeToolchainError, build_shared_object,
+                          compile_and_load, find_compiler, join_units,
+                          resolve_backend, source_digest,
                           toolchain_available, toolchain_info)
 from repro.obs.metrics import REGISTRY
 
@@ -31,6 +36,21 @@ int64_t triple(int64_t x) { return 3 * x; }
 """
 
 CDEF = "int64_t triple(int64_t x);"
+
+#: a driver unit calling into two hidden helpers, one per unit
+HIDDEN = '__attribute__((visibility("hidden")))'
+UNITS = (
+    "#include <stdint.h>\n"
+    f"{HIDDEN} int64_t twice(int64_t x);\n"
+    f"{HIDDEN} int64_t square(int64_t x);\n"
+    "int64_t combo(int64_t x) { return twice(x) + square(x); }\n",
+    f"#include <stdint.h>\n{HIDDEN} int64_t twice(int64_t x) "
+    "{ return 2 * x; }\n",
+    f"#include <stdint.h>\n{HIDDEN} int64_t square(int64_t x) "
+    "{ return x * x; }\n",
+)
+
+UNITS_CDEF = "int64_t combo(int64_t x);"
 
 
 @pytest.fixture
@@ -53,6 +73,12 @@ def no_toolchain(monkeypatch):
 
 def _counter_value(name, **labels):
     return REGISTRY.counter(name, **labels).value
+
+
+def _artifact_pair(so_path):
+    """What one build leaves in the cache: the .so and the joined .c."""
+    name = os.path.basename(so_path)
+    return sorted([name, name[:-3] + ".c"])
 
 
 # ------------------------------------------------------------ discovery
@@ -159,6 +185,103 @@ def test_lru_eviction(cache_dir, monkeypatch):
 
 
 @needs_cc
+def test_multi_unit_build_load_call(cache_dir):
+    mod = compile_and_load(UNITS, UNITS_CDEF, tag="t")
+    assert mod.fn("combo")(5) == 35
+    # the helpers link across units but are not exported
+    lib = ctypes.CDLL(mod.path)
+    assert not hasattr(lib, "twice") and not hasattr(lib, "square")
+    assert sorted(os.listdir(cache_dir)) == _artifact_pair(mod.path)
+    with open(mod.path[:-3] + ".c") as fh:
+        assert fh.read() == join_units(UNITS)
+    assert source_digest(UNITS) == source_digest(join_units(UNITS))
+
+
+@needs_cc
+def test_unit_compile_error_cleans_up(cache_dir):
+    broken = (UNITS[0], UNITS[1].replace("return", "retrun"), UNITS[2])
+    errors0 = _counter_value("repro_native_disk_cache_errors_total")
+    with pytest.raises(NativeToolchainError):
+        build_shared_object(broken, tag="t")
+    assert _counter_value("repro_native_disk_cache_errors_total") \
+        == errors0 + 1
+    # no objects, temporaries or private build directories left behind
+    assert os.listdir(cache_dir) == []
+
+
+_RACE_CHILD = """
+import ctypes, os, sys, time
+import repro.native as n
+go = sys.argv[1]
+while not os.path.exists(go):
+    time.sleep(0.002)
+path = n.build_shared_object(%r, tag="t")
+assert ctypes.CDLL(path).combo(3) == 15
+sys.stdout.write(path)
+"""
+
+
+@needs_cc
+def test_concurrent_multi_unit_builders(cache_dir, tmp_path_factory):
+    """Two processes building one multi-unit key both get a .so."""
+    go = str(tmp_path_factory.mktemp("race") / "go")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    children = [
+        subprocess.Popen([sys.executable, "-c", _RACE_CHILD % (UNITS,),
+                          go], stdout=subprocess.PIPE,
+                         stderr=subprocess.PIPE, text=True, env=env)
+        for _ in range(2)]
+    time.sleep(0.5)  # both children are importing or polling by now
+    open(go, "w").close()
+    paths = []
+    for child in children:
+        out, err = child.communicate(timeout=120)
+        assert child.returncode == 0, err
+        paths.append(out.strip())
+    assert paths[0] == paths[1]
+    assert sorted(os.listdir(cache_dir)) == _artifact_pair(paths[0])
+
+
+@needs_cc
+def test_gate_overlay_kernel_splits_into_units(cache_dir):
+    """The fi-gate overlay kernel builds from several units and runs
+    bit-identical to the compiled engine over one stimulus case."""
+    from repro.fi.campaign import (_drive_workload_inputs,
+                                   _resolve_frames,
+                                   build_campaign_netlist, make_workload)
+    from repro.fi.faultload import generate_gate_faultload
+    from repro.fi.faults import build_overlay, control_name
+    from repro.gatesim import GateSimulator, NativeGateSimulator
+    from repro.gatesim.native import _generate_c_source
+    from repro.src_design.params import SMALL_PARAMS
+
+    netlist = build_campaign_netlist(SMALL_PARAMS)
+    workload = make_workload(SMALL_PARAMS, 7, "smoke")
+    faults = generate_gate_faultload(netlist, 63, 7,
+                                     workload.cycle_budget)
+    overlay = build_overlay(netlist, faults).netlist
+    assert len(_generate_c_source(overlay)[0]) > 1
+
+    n = len(faults) + 1
+    nat = GateSimulator(overlay, backend="native", n_patterns=n)
+    comp = GateSimulator(overlay, backend="compiled", n_patterns=n)
+    assert isinstance(nat, NativeGateSimulator)
+    by_tick = _resolve_frames(workload)
+    for tick in range(workload.cycle_budget):
+        for sim in (nat, comp):
+            _drive_workload_inputs(sim, by_tick.get(tick, ()))
+            for b, fault in enumerate(faults):
+                if fault.structural:
+                    values = [0] * n
+                    values[b + 1] = int(fault.active(tick))
+                    sim.set_input_patterns(control_name(fault), values)
+            sim.step()
+        for port in overlay.outputs:
+            assert nat.get_port_planes(port) == \
+                comp.get_port_planes(port), (tick, port)
+
+
+@needs_cc
 def test_u64_view_aliases_buffer(cache_dir):
     mod = compile_and_load(SOURCE, CDEF, tag="t")
     buf = mod.u64_buffer([1, 2, 3])
@@ -245,9 +368,15 @@ def test_prometheus_native_cache_rows(cache_dir):
     ``backend="native"`` rows once a native engine has compiled."""
     from repro.rtl import RtlModule, RtlSimulator
 
+    def compile_count(text):
+        found = re.search(r'^repro_native_compile_seconds_count'
+                          r'\{tag="rtl"\} (\S+)$', text, re.M)
+        return float(found.group(1)) if found else 0.0
+
     m = RtlModule("prom_native")
     x = m.input("x", 8)
     m.output("y", x)
+    builds0 = compile_count(REGISTRY.to_prometheus())
     RtlSimulator(m, backend="native")
     text = REGISTRY.to_prometheus()
     for family in ("repro_compile_cache_hits_total",
@@ -256,3 +385,6 @@ def test_prometheus_native_cache_rows(cache_dir):
         assert f'{family}{{backend="native",cache="rtl"}}' in text, family
     assert "repro_native_disk_cache_misses_total" in text
     assert "repro_native_source_bytes_total" in text
+    # one disk-cache miss, one compile-seconds observation
+    assert "# TYPE repro_native_compile_seconds histogram" in text
+    assert compile_count(text) == builds0 + 1
